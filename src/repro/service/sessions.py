@@ -147,6 +147,9 @@ class SessionManager:
     def _retire(self, session: Session) -> None:
         if self._on_retire is not None:
             self._on_retire(session)
+        # The record stays for /stats and /trace but is never traced
+        # into again: keep its spans and provenance as one packed blob.
+        session.recorder.pack()
 
     # -- queries --------------------------------------------------------
 

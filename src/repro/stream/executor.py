@@ -53,6 +53,7 @@ failure is counted/logged through :mod:`repro.telemetry`
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import time
 from collections import OrderedDict, deque
@@ -93,13 +94,24 @@ def backoff_delay(attempt: int, base: float, cap: float) -> float:
 
 # -- shared-memory plumbing ---------------------------------------------
 #
-# Segments created by this process are remembered here so that (a) inline
+# Segments created by this process are remembered here so that inline
 # fallback jobs and fork-started workers reuse the mapping instead of
-# re-attaching, and (b) re-attaching in a spawn-started worker does not
-# hand ownership to that worker's resource tracker (which would unlink
-# the segment — still in use by the session — when the worker exits).
+# re-attaching.
+#
+# Attaching a segment registers it with the attaching process's resource
+# tracker.  Pool workers inherit the parent's tracker under every POSIX
+# start method (fork, spawn and forkserver all hand down its fd), so the
+# registration is a no-op there — and unregistering would remove the
+# parent's own entry, making its later unlink print ``KeyError`` tracebacks
+# from the tracker.  Only a process that had no tracker when it first
+# attached gets a private one, which would unlink the segment (still in
+# use by the session) when that process exits; it must unregister.
 
 _LOCAL_SEGMENTS: dict[str, "object"] = {}
+
+#: pid -> True when that process started its own tracker by attaching,
+#: so it must unregister what it attaches.
+_OWN_TRACKER: dict[int, bool] = {}
 
 
 def _create_segment(nbytes: int):
@@ -121,16 +133,17 @@ def _attach_segment(name: str):
     seg = _LOCAL_SEGMENTS.get(name)
     if seg is not None:
         return seg
-    seg = _shm.SharedMemory(name=name)
-    try:
-        # Attaching registers the segment with this process's resource
-        # tracker as if it owned it; unregister so a worker exiting does
-        # not unlink (or warn about) a segment the session still owns.
-        from multiprocessing import resource_tracker
+    from multiprocessing import resource_tracker
 
+    pid = os.getpid()
+    if pid not in _OWN_TRACKER:
+        tracker = getattr(resource_tracker, "_resource_tracker", None)
+        _OWN_TRACKER[pid] = (
+            os.name == "posix" and getattr(tracker, "_fd", None) is None
+        )
+    seg = _shm.SharedMemory(name=name)
+    if _OWN_TRACKER[pid]:
         resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker API is best-effort
-        pass
     _LOCAL_SEGMENTS[name] = seg
     return seg
 

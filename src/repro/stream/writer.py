@@ -316,6 +316,10 @@ class StreamingWriter:
         self._closed = True
         self._buffer.clear()
         self.auditor.clear()
+        # A closed writer is often kept around (a retired service
+        # session); drop the per-axis encoder state and the chunk index.
+        self._sessions = None
+        self._chunks = []
         if self._owns_executor:
             self._executor.close()
         if self._owns_fh:

@@ -39,8 +39,10 @@ from __future__ import annotations
 import contextvars
 import itertools
 import os
+import pickle
 import threading
 import time
+import zlib
 
 from .recorder import MetricsRecorder
 
@@ -187,7 +189,10 @@ class TracingRecorder(MetricsRecorder):
     * :meth:`export_token` — capture the current span context for a
       worker process;
     * ``snapshot()["spans"] / ["provenance"]`` — the collected data,
-      JSON-serializable, mergeable across processes.
+      JSON-serializable, mergeable across processes;
+    * :meth:`pack` — move the collected spans and provenance into one
+      compressed blob, for recorders that are kept but no longer written
+      to (a retired service session).
     """
 
     #: Instrumentation may check this instead of isinstance.
@@ -201,6 +206,9 @@ class TracingRecorder(MetricsRecorder):
         super().__init__()
         self._spans: list[dict] = []
         self._provenance: list[dict] = []
+        #: Spans and provenance moved out by :meth:`pack`, as one
+        #: zlib-compressed pickle of ``(spans, provenance)``.
+        self._packed: bytes | None = None
         self._max_spans = int(max_spans)
         self._max_provenance = int(max_provenance)
         self._pid = os.getpid()
@@ -265,7 +273,31 @@ class TracingRecorder(MetricsRecorder):
         with self._lock:
             self._add_provenance_locked(dict(record))
 
+    def pack(self) -> None:
+        """Move spans and provenance into one compressed serialized blob.
+
+        A finished session's trace is read rarely but kept for as long as
+        the session record lives; as a blob it costs a fraction of the
+        memory of the live dicts.  :meth:`snapshot` decodes it on demand
+        and returns the same content as before packing.  Records added
+        later stay live and are listed after the packed ones.
+        """
+        with self._lock:
+            spans, provenance = self._trace_lists_locked()
+            self._packed = zlib.compress(
+                pickle.dumps((spans, provenance), pickle.HIGHEST_PROTOCOL)
+            )
+            self._spans = []
+            self._provenance = []
+
     # -- internals ------------------------------------------------------
+
+    def _trace_lists_locked(self) -> tuple[list[dict], list[dict]]:
+        """All spans and provenance records, packed ones first."""
+        if self._packed is None:
+            return list(self._spans), list(self._provenance)
+        spans, provenance = pickle.loads(zlib.decompress(self._packed))
+        return spans + self._spans, provenance + self._provenance
 
     def _next_span_id(self) -> str:
         return f"{self._pid:x}-{next(_ID_COUNTER)}"
@@ -312,8 +344,7 @@ class TracingRecorder(MetricsRecorder):
 
     def _snapshot_locked(self) -> dict:
         snap = super()._snapshot_locked()
-        snap["spans"] = list(self._spans)
-        snap["provenance"] = list(self._provenance)
+        snap["spans"], snap["provenance"] = self._trace_lists_locked()
         snap["trace"] = {"pid": self._pid, "epoch": self._epoch_wall}
         return snap
 
@@ -331,6 +362,7 @@ class TracingRecorder(MetricsRecorder):
     def _reset_extra_locked(self) -> None:
         self._spans.clear()
         self._provenance.clear()
+        self._packed = None
 
 
 def current_span_id() -> str | None:

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,6 +355,40 @@ class TestSessions:
         report, token = run(main())
         assert report["finalized"] == []
         assert report["aborted"] == [token]
+
+
+class TestRetiredSessionMemory:
+    def test_retired_sessions_stay_small(self, tmp_path):
+        """A finished session's record keeps its stats and trace, but as
+        a packed blob beside a released writer: the memory the service
+        retains per retired session stays bounded."""
+        service = CompressionService(ServiceConfig(spool_dir=str(tmp_path)))
+        manager = service.sessions
+        config = MDZConfig(error_bound=1e-3, buffer_size=3)
+
+        async def one(seed):
+            session = manager.create(config)
+            traj = _trajectory(seed, snapshots=30, atoms=30)
+            for t0 in range(0, 30, 3):  # 10 buffers per session
+                await manager.feed(session, traj[t0:t0 + 3])
+            await manager.close(session)
+
+        async def sessions(seeds):
+            for seed in seeds:
+                await one(seed)
+
+        run(sessions(range(3)))  # warm caches outside the measurement
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(sessions(range(100, 140)))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert manager.counts()["closed"] == 43
+        assert retained / 40 <= 200 * 1024
 
 
 class TestMetricsEndpoint:

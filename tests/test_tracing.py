@@ -119,6 +119,24 @@ class TestSpanPrimitives:
         assert len(snap["spans"]) == 3
         assert snap["counters"]["trace.spans_dropped"] == 2
 
+    def test_pack_keeps_snapshot_content(self):
+        rec = TracingRecorder()
+        with rec.span("buffer", provenance=True, axis=0):
+            with rec.span("stage"):
+                rec.annotate(method="vq", sizes={"vq": 10})
+        before = rec.snapshot()
+        rec.pack()
+        assert rec._spans == [] and rec._provenance == []
+        after = rec.snapshot()
+        assert after["spans"] == before["spans"]
+        assert after["provenance"] == before["provenance"]
+        with rec.span("late"):
+            pass
+        names = [span["name"] for span in rec.snapshot()["spans"]]
+        assert names == ["stage", "buffer", "late"]
+        rec.reset()
+        assert rec.snapshot()["spans"] == []
+
     def test_null_recorder_span_is_shared_noop(self):
         rec = get_recorder()
         handle = rec.span("anything", pointless=1)

@@ -14,10 +14,15 @@ from __future__ import annotations
 import dataclasses
 import io
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.config import MDZConfig
 from repro.stream import (
     AxisJobSpec,
@@ -61,6 +66,20 @@ def _shm_entries():
 
 def _double(x):
     return 2 * x
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter; its resource tracker (and so
+    any tracker complaint) writes to the captured stderr."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 class _FailingHandle:
@@ -220,6 +239,57 @@ class TestShmLifecycle:
         writer.feed_many(traj[:12])
         writer.abort()
         assert _shm_entries() == before
+
+    def test_parallel_run_leaves_tracker_quiet(self):
+        """Once the parent runs a resource tracker, forked workers share
+        it: attaching must not unregister the parent's segments, or the
+        parent's unlink makes the tracker print ``KeyError: '/psm_...'``
+        tracebacks.  The first run starts the tracker, the second forks
+        workers that inherit it."""
+        before = _shm_entries()
+        result = _run_python(
+            """
+            import io
+            import numpy as np
+            from repro.core.config import MDZConfig
+            from repro.stream import stream_compress
+
+            rng = np.random.default_rng(3)
+            levels = rng.integers(0, 6, (120, 3)) * 2.0
+            traj = levels[None] + rng.normal(0, 0.03, (24, 120, 3))
+            config = MDZConfig(
+                buffer_size=4, error_bound=1e-3, error_bound_mode="absolute"
+            )
+            for _ in range(2):
+                stats = stream_compress(traj, io.BytesIO(), config, workers=2)
+                print(stats.chunks)
+            """
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["18", "18"]
+        assert "resource_tracker" not in result.stderr
+        assert "KeyError" not in result.stderr
+        assert _shm_entries() == before
+
+    def test_attach_from_process_without_tracker_keeps_segment(self):
+        """A process that starts its own tracker by attaching unregisters,
+        so its exit neither unlinks nor reports the session's segment."""
+        seg = executor_mod._create_segment(16)
+        try:
+            seg.buf[:4] = b"mdz2"
+            result = _run_python(
+                f"""
+                from repro.stream import executor
+                print(executor.shared_bytes(({seg.name!r}, 4)).decode())
+                """
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.strip() == "mdz2"
+            assert result.stderr == ""
+            if os.path.isdir("/dev/shm"):
+                assert seg.name.lstrip("/") in _shm_entries()
+        finally:
+            executor_mod._destroy_segment(seg)
 
     def test_slot_grows_for_larger_payload(self):
         before = _shm_entries()
