@@ -167,57 +167,18 @@ class MDZAxisCompressor(Compressor):
             return None
         return self._selector.current
 
-    def export_session_seed(self):
-        """The frozen cross-buffer state: ``(reference, level_fit)``."""
-        state = self._require_state()
-        return state.reference, state.levels.fit
-
     def export_session_state(self, method: str):
-        """The frozen state for out-of-session encoding with ``method``,
-        plus its identity digest: ``(reference, level_fit, digest)``.
+        """The frozen state for out-of-session encoding with ``method``:
+        ``(reference, level_fit)``.
 
         ``reference`` is included only for members whose registry entry
         sets ``needs_reference`` (MT and bitadaptive — the ones that
-        read it), so VQ/VQT/interp state stays a few hundred bytes.  ``digest`` is a
-        BLAKE2b hash over every input that shapes the encoded bytes: the
-        method, the session configuration (bound, quantizer scale,
-        sequence mode, lossless backend, level seed, entropy fan-out,
-        atom count) and the exported state content itself.  Equal digests
-        therefore guarantee byte-identical out-of-session encoding, which
-        is what lets worker processes key persistent session caches on
-        it (:func:`repro.stream.executor._session_for`).
+        read it), so VQ/VQT/interp state stays a few hundred bytes.
         """
-        import hashlib
-
         state = self._require_state()
         needs_reference = method_entry(method).needs_reference
         reference = state.reference if needs_reference else None
-        fit = state.levels.fit
-        h = hashlib.blake2b(digest_size=16)
-        h.update(
-            repr(
-                (
-                    method,
-                    self.config.quantization_scale,
-                    self.config.sequence_mode,
-                    self.config.lossless_backend,
-                    self.config.level_seed,
-                    self.config.entropy_streams,
-                    self.meta.n_atoms,
-                )
-            ).encode()
-        )
-        h.update(np.float64(self.error_bound).tobytes())
-        if reference is not None:
-            h.update(repr(reference.shape).encode())
-            h.update(np.ascontiguousarray(reference).tobytes())
-        if fit is not None:
-            h.update(
-                np.float64([fit.lam, fit.mu, fit.residual]).tobytes()
-            )
-            h.update(repr((fit.k, fit.centroids.shape)).encode())
-            h.update(np.ascontiguousarray(fit.centroids).tobytes())
-        return reference, fit, h.hexdigest()
+        return reference, state.levels.fit
 
     def seed_session(self, reference, level_fit) -> None:
         """Adopt cross-buffer state exported from another session."""

@@ -112,9 +112,10 @@ class MethodEntry:
     """One registered compression member.
 
     ``needs_reference`` marks members whose encode reads the session
-    reference snapshot: the streaming writer ships the reference to
-    worker processes only for these
-    (:meth:`~repro.core.mdz.MDZAxisCompressor.export_session_state`).
+    reference snapshot: only for these does
+    :meth:`~repro.core.mdz.MDZAxisCompressor.export_session_state`
+    include the reference in the ``(reference, level_fit)`` state that
+    the streaming writer ships with each out-of-session job.
     ``stages`` names the member's composition for documentation and
     introspection; every listed name resolves in the matching stage
     registry (pinned by ``tests/test_registry.py``).

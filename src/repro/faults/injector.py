@@ -226,7 +226,7 @@ class FaultyExecutor(ParallelExecutor):
         self._job_counter = 0
         self.injected: list[str] = []
 
-    def submit(self, fn, *args, slot=None) -> None:
+    def submit(self, fn, *args) -> None:
         """Submit a job, wrapping it when it covers a marked axis index."""
         jobs = getattr(args[0], "jobs", None) if args else None
         count = len(jobs) if jobs is not None else 1
@@ -239,7 +239,7 @@ class FaultyExecutor(ParallelExecutor):
                 hit = (job, spec)
                 break
         if hit is None:
-            super().submit(fn, *args, slot=slot)
+            super().submit(fn, *args)
             return
         job, spec = hit
         counter = self._counter_dir / f"job{job}.attempts"
@@ -249,9 +249,7 @@ class FaultyExecutor(ParallelExecutor):
         recorder = get_recorder()
         recorder.count("faults.injected.worker_fail")
         recorder.event("faults.injected", note)
-        super().submit(
-            _flaky_call, str(counter), spec.times, fn, *args, slot=slot
-        )
+        super().submit(_flaky_call, str(counter), spec.times, fn, *args)
 
 
 def apply_posthoc(blob: bytes, specs: Iterable[FaultSpec]) -> bytes:

@@ -14,7 +14,8 @@ for production use:
   and sequential decoding, with opt-in recovery of truncated files;
 * :mod:`repro.stream.executor` — :class:`ParallelExecutor`, a
   ``multiprocessing`` pool with bounded backpressure and ordered
-  reassembly whose output is byte-identical to serial execution;
+  reassembly whose output is byte-identical to serial execution; each
+  job carries its batch and frozen session state as plain arguments;
 * :mod:`repro.stream.pipeline` — one-call helpers tying it together.
 
 Fault tolerance lives at three layers: the writer commits chunk frames

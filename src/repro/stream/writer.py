@@ -20,9 +20,8 @@ Compression jobs are distributed through a
 :class:`~repro.stream.executor.ParallelExecutor`: the first buffer and
 ADP trial buffers run in-session (they establish or update cross-buffer
 state), everything else is dispatched as one batched job per flush —
-the batch crosses the process boundary through a shared-memory slot and
-workers reuse cached sessions keyed by a state digest — and is
-byte-identical to serial execution by construction.
+the batch and each axis's frozen state travel as plain job arguments —
+and is byte-identical to serial execution by construction.
 
 Crash safety: chunk frames are committed atomically against a *fence* —
 the end of the last fully written frame.  A chunk write that fails with
@@ -39,10 +38,9 @@ from __future__ import annotations
 
 import io
 import os
-import pickle
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Iterable
 
@@ -182,9 +180,6 @@ class StreamingWriter:
         # Sampled round-trip auditing; deterministic by buffer index so
         # serial and parallel runs audit identical chunks.
         self.auditor = QualityAuditor(self.config.audit_interval)
-        # Shared-memory handles of published session state, per digest
-        # (None = publish declined; the spec then carries state inline).
-        self._state_handles: dict[str, tuple | None] = {}
         self._buffer: list[np.ndarray] = []
         self._pending: deque[_PendingChunk] = deque()
         self._chunks: list[fmt.ChunkEntry] = []
@@ -379,8 +374,7 @@ class StreamingWriter:
         with recorder.span("stream.flush", buffer=self._buffer_index):
             # One contiguous (axes, B, N) block: per-axis contiguous
             # views for the in-session path, and the ready-to-ship
-            # payload for dispatched axes (copied once into a
-            # shared-memory slot, or pickled whole as the fallback).
+            # payload for dispatched axes.
             axes_block = np.ascontiguousarray(np.moveaxis(batch, 2, 0))
             dispatch: list[tuple[int, AxisJobSpec]] = []
             for a in range(batch.shape[2]):
@@ -428,45 +422,23 @@ class StreamingWriter:
     def _job_spec(
         self, axis: int, session: MDZAxisCompressor, method: str, recorder
     ) -> AxisJobSpec:
-        """Build the out-of-session job spec for one axis.
-
-        The frozen session state travels by the cheapest available
-        route: it is pickled and published to a shared-memory segment
-        once per state digest (workers cache the rebuilt session under
-        the digest, so most jobs transfer nothing at all); when
-        publishing is declined — serial mode, shared memory unavailable
-        — the spec carries the state inline exactly as before.
-        """
-        reference, level_fit, digest = session.export_session_state(method)
-        if digest not in self._state_handles:
-            self._state_handles[digest] = self._executor.publish(
-                pickle.dumps(
-                    (reference, level_fit), pickle.HIGHEST_PROTOCOL
-                )
-            )
-        handle = self._state_handles[digest]
+        """Build the out-of-session job spec for one axis: the session
+        config with ``method`` fixed, the resolved bound, and the frozen
+        state (the reference is None unless the method's registry entry
+        needs it; export_session_state applies that rule)."""
+        reference, level_fit = session.export_session_state(method)
         return AxisJobSpec(
-            method=method,
+            config=replace(self.config, method=method),
             error_bound=session.error_bound,
             n_atoms=self._shape[0],
-            quantization_scale=self.config.quantization_scale,
-            sequence_mode=self.config.sequence_mode,
-            lossless_backend=self.config.lossless_backend,
-            level_seed=self.config.level_seed,
-            # State ships through the published segment when available;
-            # the reference is None unless the method's registry entry
-            # needs it (export_session_state already applies that rule).
-            reference=None if handle is not None else reference,
-            level_fit=None if handle is not None else level_fit,
-            entropy_streams=self.config.entropy_streams,
+            reference=reference,
+            level_fit=level_fit,
             # Span token: the worker's root span re-parents under this
             # flush (None on non-tracing recorders).
             trace=recorder.export_token(
                 axis=axis, buffer=self._buffer_index, mode="worker"
             ),
             telemetry=recorder.enabled,
-            state_digest=digest,
-            state_shm=handle,
         )
 
     def _dispatch(
@@ -475,11 +447,9 @@ class StreamingWriter:
         """Submit accumulated axis jobs as one batched flush job.
 
         One :class:`FlushJobSpec` carries every dispatched axis of the
-        flush — a single IPC round trip.  The payload travels through a
-        shared-memory ring slot when the executor can provide one
-        (``stream.executor.shm_bytes`` counts the copied bytes); the
-        fallback ships the stacked array pickled, and serial mode runs
-        the same job inline.  ``dispatch`` is consumed.
+        flush — a single IPC round trip with the stacked payload as a
+        plain argument; serial mode runs the same job inline.
+        ``dispatch`` is consumed.
         """
         if not dispatch:
             return
@@ -490,20 +460,7 @@ class StreamingWriter:
             payload = axes_block  # whole flush: already the right block
         else:
             payload = np.ascontiguousarray(axes_block[axes])
-        slot = self._executor.acquire_slot(payload.nbytes)
-        if slot is not None:
-            desc = slot.pack(payload)
-            get_recorder().count(
-                "stream.executor.shm_bytes", payload.nbytes
-            )
-            self._executor.submit(
-                encode_flush, FlushJobSpec(jobs=jobs, shm=desc), None,
-                slot=slot,
-            )
-        else:
-            self._executor.submit(
-                encode_flush, FlushJobSpec(jobs=jobs), payload
-            )
+        self._executor.submit(encode_flush, FlushJobSpec(jobs=jobs), payload)
 
     def _collect(self, block: bool) -> None:
         """Append chunk frames for every completed compression job."""

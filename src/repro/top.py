@@ -179,15 +179,8 @@ def render(
     sessions = len(session_tokens(families))
     lines.append(f"  inflight {inflight:8.0f}   live sessions {sessions:4d}")
 
-    # Worker-pool health: shared-state cache and dispatch mix.
+    # Worker-pool health: dispatch mix.
     head("executor")
-    hits = totals.get("mdz_stream_executor_state_cache_hit_total", 0.0)
-    misses = totals.get("mdz_stream_executor_state_cache_miss_total", 0.0)
-    if hits + misses:
-        lines.append(
-            f"  state-cache hit rate {100.0 * hits / (hits + misses):5.1f}%"
-            f"   ({hits:.0f} hit / {misses:.0f} miss)"
-        )
     dispatched = totals.get("mdz_stream_executor_dispatched_total", 0.0)
     inline = totals.get("mdz_stream_executor_inline_total", 0.0)
     waits = totals.get("mdz_stream_executor_backpressure_waits_total", 0.0)

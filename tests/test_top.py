@@ -84,8 +84,8 @@ def test_render_frame_contains_all_panels():
             "stream.chunk_bytes": 2_000_000,
             "service.requests": 42,
             "quality.audits": 6,
-            "stream.executor.state_cache.hit": 9,
-            "stream.executor.state_cache.miss": 1,
+            "stream.executor.dispatched": 9,
+            "stream.executor.inline": 1,
         },
         gauges={"quality.max_abs_error": 1.5e-4, "service.inflight": 2},
         timers={"stream.flush": [0.01, 0.02, 0.04]},
@@ -94,7 +94,7 @@ def test_render_frame_contains_all_panels():
     assert "throughput" in text and "quality" in text
     assert "10.00 MB" in text
     assert "CR    5.0x" in text
-    assert "state-cache hit rate  90.0%" in text
+    assert "dispatched        9   inline        1" in text
     assert "stream_flush" in text
     assert "bound violations      0" in text
     assert "max |err|" in text

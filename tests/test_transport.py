@@ -1,18 +1,19 @@
-"""Degraded-path coverage for the executor's shared-memory transport.
+"""Coverage for the executor's transport and its degraded paths.
 
-The transport has a degradation ladder — pool + shared-memory payloads,
-pool + pickled payloads, inline execution — and every rung must produce
-byte-identical archives.  These tests force each rung: a pool that dies
-mid-backpressure-wait, shared memory that is unavailable or exhausted,
-and state digests that miss the worker cache, plus the lifecycle
-guarantee that no ``/dev/shm`` segment outlives ``close``/``terminate``/
-``abort``.
+Pool jobs carry the stacked batch and each axis's frozen state as plain
+pickled arguments; the only fallback is inline execution, and both must
+produce byte-identical archives.  These tests force the fallback (a pool
+that dies mid-backpressure-wait), pin that a job rebuilt from its spec
+encodes exactly like the in-session encoder, and check that a parallel
+run creates no ``/dev/shm`` segment and leaves the resource tracker
+quiet.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import io
+import multiprocessing.shared_memory
 import os
 import subprocess
 import sys
@@ -25,16 +26,13 @@ import pytest
 import repro
 from repro.core.config import MDZConfig
 from repro.stream import (
-    AxisJobSpec,
     FlushJobSpec,
     ParallelExecutor,
     StreamingWriter,
     backoff_delay,
     encode_flush,
-    stream_compress,
 )
-from repro.stream import executor as executor_mod
-from repro.telemetry import MetricsRecorder, recording
+from repro.telemetry import MetricsRecorder, get_recorder, recording
 
 
 def _trajectory(snapshots=24, atoms=120, seed=3):
@@ -62,6 +60,17 @@ def _shm_entries():
         return set(os.listdir("/dev/shm"))
     except FileNotFoundError:  # pragma: no cover - non-Linux
         return set()
+
+
+def _forbid_segments(monkeypatch):
+    """Make creating or attaching any shared-memory segment fail."""
+
+    def _refuse(*args, **kwargs):
+        raise AssertionError("the executor must not use shared memory")
+
+    monkeypatch.setattr(
+        multiprocessing.shared_memory, "SharedMemory", _refuse
+    )
 
 
 def _double(x):
@@ -185,52 +194,43 @@ class TestPoolDeathDegradation:
         assert counters["stream.executor.jobs_rerun_inline"] >= 1
         assert counters["stream.executor.job_retries"] >= 1
 
-    def test_slot_released_by_abandon_sweep(self):
-        """Payload slots held by queued jobs are freed when the pool is
-        abandoned, and the ring is unlinked once idle."""
+    def test_abandon_sweep_reruns_queued_job_inline(self):
+        """Jobs queued on a pool that is abandoned are re-run inline and
+        come back in order."""
         ex = ParallelExecutor(workers=2, max_pending=2)
         ex.RETRY_BASE_DELAY = 0.001
         ex._pool = _DyingPool()
-        before = _shm_entries()
-        slot = ex.acquire_slot(1024)
-        assert slot is not None
-        ex.submit(_double, 21, slot=slot)
+        ex.submit(_double, 21)
         ex._abandon_pool()
         assert not ex.parallel
         assert ex.drain() == [42]
-        assert _shm_entries() == before  # ring idle -> unlinked
-        ex.close()
-
-    def test_dead_pool_at_acquire_returns_none(self):
-        ex = ParallelExecutor(workers=2)
-        ex._broken = True
-        assert ex.acquire_slot(1024) is None
-        assert ex.publish(b"state") is None
         ex.close()
 
 
 class TestShmLifecycle:
-    def test_no_leak_after_close(self):
+    """A parallel run creates no shared-memory segment at all, so none
+    can outlive ``close``/``terminate``/``abort``."""
+
+    def test_no_leak_after_close(self, monkeypatch):
         before = _shm_entries()
         traj = _trajectory()
         serial = _compress(traj, workers=0)
+        _forbid_segments(monkeypatch)
         parallel = _compress(traj, workers=2)
         assert parallel == serial
         assert _shm_entries() == before
 
-    def test_no_leak_after_terminate(self):
+    def test_no_leak_after_terminate(self, monkeypatch):
         before = _shm_entries()
+        _forbid_segments(monkeypatch)
         ex = ParallelExecutor(workers=2, max_pending=2)
-        slot = ex.acquire_slot(4096)
-        handle = ex.publish(b"frozen session state")
-        assert slot is not None and handle is not None
-        assert _shm_entries() != before
-        ex.submit(_double, 1, slot=slot)
+        ex.submit(_double, 1)
         ex.terminate()
         assert _shm_entries() == before
 
-    def test_no_leak_after_writer_abort(self):
+    def test_no_leak_after_writer_abort(self, monkeypatch):
         before = _shm_entries()
+        _forbid_segments(monkeypatch)
         traj = _trajectory()
         config = MDZConfig(
             buffer_size=4, error_bound=1e-3, error_bound_mode="absolute"
@@ -241,11 +241,9 @@ class TestShmLifecycle:
         assert _shm_entries() == before
 
     def test_parallel_run_leaves_tracker_quiet(self):
-        """Once the parent runs a resource tracker, forked workers share
-        it: attaching must not unregister the parent's segments, or the
-        parent's unlink makes the tracker print ``KeyError: '/psm_...'``
-        tracebacks.  The first run starts the tracker, the second forks
-        workers that inherit it."""
+        """Two back-to-back ``workers=2`` runs in a fresh interpreter
+        leave no ``resource_tracker`` output (such as ``KeyError:
+        '/psm_...'`` tracebacks) on stderr and no segment behind."""
         before = _shm_entries()
         result = _run_python(
             """
@@ -271,143 +269,26 @@ class TestShmLifecycle:
         assert "KeyError" not in result.stderr
         assert _shm_entries() == before
 
-    def test_attach_from_process_without_tracker_keeps_segment(self):
-        """A process that starts its own tracker by attaching unregisters,
-        so its exit neither unlinks nor reports the session's segment."""
-        seg = executor_mod._create_segment(16)
-        try:
-            seg.buf[:4] = b"mdz2"
-            result = _run_python(
-                f"""
-                from repro.stream import executor
-                print(executor.shared_bytes(({seg.name!r}, 4)).decode())
-                """
-            )
-            assert result.returncode == 0, result.stderr
-            assert result.stdout.strip() == "mdz2"
-            assert result.stderr == ""
-            if os.path.isdir("/dev/shm"):
-                assert seg.name.lstrip("/") in _shm_entries()
-        finally:
-            executor_mod._destroy_segment(seg)
 
-    def test_slot_grows_for_larger_payload(self):
-        before = _shm_entries()
-        ring = executor_mod._ShmRing(1)
-        index, seg = ring.try_acquire(100)
-        assert seg.size >= 100
-        ring.release(index)
-        index, grown = ring.try_acquire(10 * seg.size)
-        assert grown.size >= 10 * seg.size
-        ring.release(index)
-        ring.destroy()
-        assert _shm_entries() == before
-
-    def test_shm_unavailable_falls_back_to_pickle(self, monkeypatch):
-        """When segment creation fails, the stream continues on pickled
-        payloads with identical bytes."""
+class TestJobSpec:
+    def test_rebuilt_session_matches_in_session(self):
+        """A worker rebuilds its session from the spec alone; the bytes
+        equal those of the in-session encoder for the same buffer."""
         traj = _trajectory()
-        serial = _compress(traj, workers=0)
-
-        def _no_shm(nbytes):
-            raise OSError("shm exhausted")
-
-        monkeypatch.setattr(executor_mod, "_create_segment", _no_shm)
-        with recording(MetricsRecorder()) as rec:
-            parallel = _compress(traj, workers=2)
-        assert parallel == serial
-        snap = rec.snapshot()
-        assert "stream.executor.shm_bytes" not in snap["counters"]
-        assert any(
-            event["name"] == "stream.executor.shm_unavailable"
-            for event in snap["events"]
+        config = MDZConfig(
+            buffer_size=4, error_bound=1e-3, error_bound_mode="absolute"
         )
-
-
-def _state_spec(traj, digest_override=None):
-    """An AxisJobSpec (inline state) for axis 0 of ``traj`` plus the
-    follow-up batch it should encode, and the serial reference bytes."""
-    config = MDZConfig(
-        buffer_size=4, error_bound=1e-3, error_bound_mode="absolute"
-    )
-    from repro.baselines.api import SessionMeta
-    from repro.core.mdz import MDZAxisCompressor
-
-    axis = np.ascontiguousarray(traj[:, :, 0].astype(np.float64))
-    session = MDZAxisCompressor(config)
-    session.begin(1e-3, SessionMeta(n_atoms=traj.shape[1]))
-    session.compress_batch(axis[:4])  # establishes the frozen state
-    session.compress_batch(axis[4:8])  # second buffer: ADP trial
-    method = session.pending_method()
-    assert method is not None
-    reference, level_fit, digest = session.export_session_state(method)
-    spec = AxisJobSpec(
-        method=method,
-        error_bound=1e-3,
-        n_atoms=traj.shape[1],
-        quantization_scale=config.quantization_scale,
-        sequence_mode=config.sequence_mode,
-        lossless_backend=config.lossless_backend,
-        level_seed=config.level_seed,
-        reference=reference,
-        level_fit=level_fit,
-        entropy_streams=config.entropy_streams,
-        state_digest=digest_override or digest,
-    )
-    expected = session.compress_batch(axis[8:12])
-    return spec, axis[8:12], expected
-
-
-class TestStateDigestCache:
-    def test_digest_miss_falls_back_to_full_state(self):
-        """A digest the worker cache has never seen rebuilds the session
-        from the shipped state — bytes identical to in-session encode."""
-        traj = _trajectory()
-        spec, batch, expected = _state_spec(
-            traj, digest_override="no-such-digest-" + os.urandom(4).hex()
-        )
-        executor_mod._SESSIONS.clear()
-        with recording(MetricsRecorder()) as rec:
-            [blob] = encode_flush(FlushJobSpec(jobs=(spec,)), batch[None])
-        assert blob == expected
-        counters = rec.snapshot()["counters"]
-        assert counters["stream.executor.state_cache.miss"] == 1
-        assert "stream.executor.state_cache.hit" not in counters
-
-    def test_digest_hit_reuses_cached_session(self):
-        traj = _trajectory()
-        spec, batch, expected = _state_spec(traj)
-        executor_mod._SESSIONS.clear()
-        with recording(MetricsRecorder()) as rec:
-            [first] = encode_flush(FlushJobSpec(jobs=(spec,)), batch[None])
-            [second] = encode_flush(FlushJobSpec(jobs=(spec,)), batch[None])
-        assert first == expected
-        assert second == expected
-        counters = rec.snapshot()["counters"]
-        assert counters["stream.executor.state_cache.miss"] == 1
-        assert counters["stream.executor.state_cache.hit"] == 1
-
-    def test_no_digest_skips_cache(self):
-        traj = _trajectory()
-        spec, batch, expected = _state_spec(traj)
-        spec = dataclasses.replace(spec, state_digest=None)
-        executor_mod._SESSIONS.clear()
-        with recording(MetricsRecorder()) as rec:
-            [blob] = encode_flush(FlushJobSpec(jobs=(spec,)), batch[None])
-        assert blob == expected
-        counters = rec.snapshot()["counters"]
-        assert "stream.executor.state_cache.miss" not in counters
-        assert len(executor_mod._SESSIONS) == 0
-
-    def test_cache_is_bounded(self):
-        traj = _trajectory()
-        spec, batch, expected = _state_spec(traj)
-        executor_mod._SESSIONS.clear()
-        for i in range(executor_mod._SESSION_CACHE_MAX + 3):
-            fake = dataclasses.replace(spec, state_digest=f"digest-{i}")
-            [blob] = encode_flush(FlushJobSpec(jobs=(fake,)), batch[None])
-            assert blob == expected
-        assert len(executor_mod._SESSIONS) == executor_mod._SESSION_CACHE_MAX
+        writer = StreamingWriter(io.BytesIO(), config)
+        writer.feed_many(traj[:8])  # first buffer, then one ADP trial
+        axis = np.ascontiguousarray(traj[8:12, :, 0].astype(np.float64))
+        session = writer._sessions[0]
+        method = session.pending_method()
+        assert method is not None
+        spec = writer._job_spec(0, session, method, get_recorder())
+        assert spec.config == dataclasses.replace(config, method=method)
+        [blob] = encode_flush(FlushJobSpec(jobs=(spec,)), axis[None])
+        assert blob == session.compress_batch(axis)
+        writer.abort()
 
 
 class TestBatchedDispatch:
@@ -420,11 +301,10 @@ class TestBatchedDispatch:
         # 4 buffers, ADP trials on the first two -> 2 dispatched flushes,
         # each one job covering 3 axes.
         assert counters["stream.executor.dispatched"] == 2
-        assert counters["stream.executor.shm_bytes"] > 0
         assert parallel == _compress(traj, workers=0)
 
     def test_backpressure_one_slot(self):
-        """max_pending=1 recycles a single payload slot across flushes."""
+        """max_pending=1 keeps one job in flight across flushes."""
         traj = _trajectory(snapshots=40)
         serial = _compress(traj, workers=0)
         ex = ParallelExecutor(workers=2, max_pending=1)
