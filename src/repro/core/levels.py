@@ -24,11 +24,6 @@ class SessionLevelModel:
         self._fit: LevelFit | None = None
 
     @property
-    def is_fitted(self) -> bool:
-        """True once the k-means fit has run."""
-        return self._fit is not None
-
-    @property
     def fit(self) -> LevelFit | None:
         """The cached fit, or ``None`` before any VQ-family encode."""
         return self._fit

@@ -25,7 +25,7 @@ from .adaptive import ADPSelector
 from .config import MDZConfig
 from .levels import SessionLevelModel
 from .methods import METHOD_IDS, METHOD_NAMES, MethodState
-from .registry import get_method, method_entry
+from .registry import get_method, method_entry, needs_head
 
 
 class MDZAxisCompressor(Compressor):
@@ -46,10 +46,11 @@ class MDZAxisCompressor(Compressor):
         self.name = (
             "mdz" if self.config.method == "adp" else f"mdz-{self.config.method}"
         )
-        # Buffer-isolated members decode any buffer without replaying
-        # the session (VQ by design, interp because its cascade roots
-        # are Lorenzo-bootstrapped per buffer).
-        self.supports_random_access = self.config.method in ("vq", "interp")
+        # Any buffer decodes alone unless a member reads the session
+        # reference (the registry's one random-access rule).
+        self.supports_random_access = not needs_head(
+            self.config.method, self.config.adp_members
+        )
         self._state: MethodState | None = None
         self._selector: ADPSelector | None = None
 
@@ -198,18 +199,18 @@ class MDZAxisCompressor(Compressor):
     def audit_decoder(self) -> "MDZAxisCompressor":
         """A fresh decode-only session mirroring this one's frozen state.
 
-        Built the way a real :class:`~repro.stream.reader.StreamingReader`
-        rebuilds a decode session — same config, same resolved bound,
-        seeded with the frozen reference snapshot and level fit — so the
-        quality auditor (:mod:`repro.telemetry.quality`) round-trips a
-        blob through exactly the bytes-to-values path a reader would use,
-        not through this session's private encoder-side state.
+        Opened like every reader's sessions
+        (:func:`repro.core.codec.open_session`: same config and bound,
+        seeded with the reference and level fit), so the quality auditor
+        round-trips a blob through the path a reader would use.
         """
+        from .codec import open_session
+
         state = self._require_state()
-        decoder = MDZAxisCompressor(self.config)
-        decoder.begin(self.error_bound, self.meta)
-        decoder.seed_session(state.reference, state.levels.fit)
-        return decoder
+        return open_session(
+            self.config, self.error_bound, self.meta.n_atoms,
+            state.reference, state.levels.fit,
+        )
 
 
 class MDZ:
@@ -250,8 +251,9 @@ class MDZ:
     def decompress_batch(self, blob: bytes, batch_index: int) -> np.ndarray:
         """Decode a single buffer (all axes) from a container.
 
-        Random access is cheap for VQ-coded buffers; for VQT/MT the decoder
-        still only touches the buffers needed to rebuild the reference.
+        VQ, VQT and interp buffers decode alone; when the method (or an
+        ADP pool member) is MT or bitadaptive, buffer 0 is decoded first
+        to rebuild the session reference.
         """
         from ..io.container import read_container_batch
 

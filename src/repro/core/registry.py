@@ -111,11 +111,11 @@ ENCODERS = StageRegistry("encoder")
 class MethodEntry:
     """One registered compression member.
 
-    ``needs_reference`` marks members whose encode reads the session
-    reference snapshot: only for these does
-    :meth:`~repro.core.mdz.MDZAxisCompressor.export_session_state`
-    include the reference in the ``(reference, level_fit)`` state that
-    the streaming writer ships with each out-of-session job.
+    ``needs_reference`` marks members whose encode and decode read the
+    session reference snapshot.  Only for these does
+    :meth:`~repro.core.mdz.MDZAxisCompressor.export_session_state` ship
+    the reference with out-of-session jobs, and does a random read
+    decode buffer 0 first (:func:`needs_head`).
     ``stages`` names the member's composition for documentation and
     introspection; every listed name resolves in the matching stage
     registry (pinned by ``tests/test_registry.py``).
@@ -208,10 +208,13 @@ def get_method(name: str) -> MDZMethod:
     return instance
 
 
-def create_method(name: str) -> MDZMethod:
-    """A fresh instance of the named member (rarely needed; see
-    :func:`get_method`)."""
-    return method_entry(name).factory()
+def needs_head(method: str, members: tuple[str, ...]) -> bool:
+    """True when buffer ``k > 0`` decodes only after buffer 0: the fixed
+    ``method``, or for ``"adp"`` any pool member, sets
+    ``needs_reference``.  The one random-access rule behind batch reads,
+    salvage and ``MDZAxisCompressor.supports_random_access``."""
+    names = members if method == "adp" else (method,)
+    return any(method_entry(name).needs_reference for name in names)
 
 
 def method_names() -> tuple[str, ...]:

@@ -7,8 +7,8 @@ Two container generations share this read API:
   :mod:`repro.serde`::
 
       magic   : 4 bytes  b"MDZ1"
-      header  : JSON     {snapshots, atoms, axes, dtype, buffer_size,
-                          error_bounds (per axis), scale, sequence, method}
+      header  : JSON     the codec header (:class:`CodecHeader`) plus
+                          {snapshots, dtype}
       index   : JSON     byte offsets of every (buffer, axis) payload within
                           the payload area, buffer-major
       payload : BYTES    concatenation of the per-buffer per-axis blobs
@@ -21,9 +21,9 @@ Two container generations share this read API:
 :func:`read_container_info` sniff the magic and dispatch, so every
 consumer (CLI, benchmarks, analysis) handles both generations.
 
-The MDZ1 index enables random access to any buffer; buffers coded by VQ
-are fully independent, while VQT/MT buffers additionally need the session
-reference (rebuilt by decoding buffer 0 once).
+Everything else — the codec header and its validation, sessions,
+bounds, decoding and the random-access rule — lives in
+:mod:`repro.core.codec`; this module only frames bytes.
 """
 
 from __future__ import annotations
@@ -33,10 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..baselines.api import SessionMeta
+from ..core.codec import (
+    CodecHeader,
+    ContainerInfo,
+    ContainerReader,
+    payload_tag,
+    require,
+)
 from ..core.config import MDZConfig
-from ..core.mdz import MDZAxisCompressor
-from ..core.registry import DEFAULT_MEMBERS
 from ..telemetry import QualityAuditor
 from ..exceptions import (
     CompressionError,
@@ -77,29 +81,6 @@ def container_version(blob: bytes) -> int:
     return 1
 
 
-def _axis_bounds(positions: np.ndarray, config: MDZConfig) -> list[float]:
-    """Absolute per-axis error bounds from the configured mode."""
-    bounds = []
-    for a in range(positions.shape[2]):
-        axis = positions[:, :, a]
-        value_range = float(axis.max() - axis.min())
-        bounds.append(config.absolute_bound(value_range))
-    return bounds
-
-
-def _sessions(
-    config: MDZConfig,
-    bounds: list[float],
-    n_atoms: int,
-) -> list[MDZAxisCompressor]:
-    sessions = []
-    for eb in bounds:
-        session = MDZAxisCompressor(config)
-        session.begin(eb, SessionMeta(n_atoms=n_atoms))
-        sessions.append(session)
-    return sessions
-
-
 def write_container(positions: np.ndarray, config: MDZConfig) -> bytes:
     """Compress a (snapshots, atoms, axes) array into a container."""
     positions = np.asarray(positions)
@@ -111,8 +92,8 @@ def write_container(positions: np.ndarray, config: MDZConfig) -> bytes:
     if t_count == 0 or n_atoms == 0:
         raise CompressionError("cannot compress an empty trajectory")
     work = positions.astype(np.float64)
-    bounds = _axis_bounds(work, config)
-    sessions = _sessions(config, bounds, n_atoms)
+    header = CodecHeader.from_config(config, work)
+    sessions = header.sessions(config)
     bs = config.buffer_size
     auditor = QualityAuditor(config.audit_interval)
     blobs: list[bytes] = []
@@ -136,24 +117,8 @@ def write_container(positions: np.ndarray, config: MDZConfig) -> bytes:
             blobs.append(blob)
     writer = BlobWriter()
     writer.write_bytes(MAGIC)
-    header = {
-        "snapshots": t_count,
-        "atoms": n_atoms,
-        "axes": n_axes,
-        "dtype": np.asarray(positions).dtype.str,
-        "buffer_size": bs,
-        "error_bounds": bounds,
-        "scale": config.quantization_scale,
-        "sequence": config.sequence_mode,
-        "method": config.method,
-        "lossless": config.lossless_backend,
-    }
-    # A non-default ADP pool is recorded for provenance (`mdz info`);
-    # the key is omitted for the default pool so legacy archives stay
-    # byte-identical (pinned by tools/legacy_digests.py).
-    if config.method == "adp" and config.adp_members != DEFAULT_MEMBERS:
-        header["members"] = list(config.adp_members)
-    writer.write_json(header)
+    framing = {"snapshots": t_count, "dtype": positions.dtype.str}
+    writer.write_json({**header.to_json(), **framing})
     payload = b"".join(blobs)
     writer.write_json(
         {
@@ -166,185 +131,107 @@ def write_container(positions: np.ndarray, config: MDZConfig) -> bytes:
     return writer.getvalue()
 
 
-def _open_container(blob: bytes):
+@dataclass(frozen=True)
+class _Container(ContainerReader):
+    """A parsed, validated ``MDZ1`` blob: header, index and payload area."""
+
+    header: CodecHeader
+    snapshots: int
+    offsets: list[int]
+    payload: bytes
+
+    @property
+    def n_buffers(self) -> int:
+        return len(self.offsets) // self.header.axes
+
+    def _rows(self, buffer_index: int) -> int:
+        bs = self.header.buffer_size
+        return min(bs, self.snapshots - buffer_index * bs)
+
+    def _payload(self, buffer_index: int, axis: int) -> bytes:
+        i = buffer_index * self.header.axes + axis
+        end = self.offsets[i + 1] if i + 1 < len(self.offsets) else None
+        return self.payload[self.offsets[i] : end]
+
+    def _pieces(self):
+        for b in range(self.n_buffers):
+            for a in range(self.header.axes):
+                yield a, self._rows(b), self._payload(b, a)
+
+
+def _open_container(blob: bytes) -> _Container:
     reader = BlobReader(blob)
+    reader.read_bytes()  # the magic, checked by container_version()
     try:
-        magic = reader.read_bytes()
-        if magic != MAGIC:
-            raise ContainerFormatError(
-                f"bad container magic {magic!r}; expected {MAGIC!r} or MDZ2"
-            )
-        header = reader.read_json()
+        raw_header = reader.read_json()
         index = reader.read_json()
         payload = reader.read_bytes()
-    except ContainerFormatError:
-        raise
     except DecompressionError as exc:
         # Framing-level failures (short frames, wrong tags) mean the file
         # itself is damaged, not one compressed payload inside it.
         raise ContainerFormatError(
             f"truncated or malformed container: {exc}"
         ) from exc
-    if int(index["total"]) != len(payload):
+    header = CodecHeader.from_json(raw_header)
+    snapshots = require(raw_header, "snapshots")
+    if not isinstance(index, dict):
+        raise ContainerFormatError("container index is not a JSON object")
+    total = require(index, "total", minimum=0, what="index")
+    if total != len(payload):
         raise ContainerFormatError(
             f"payload length {len(payload)} does not match index total "
-            f"{index['total']}"
+            f"{total}"
         )
-    expected_crc = index.get("crc32")
-    if expected_crc is not None:
+    if "crc32" in index:
+        expected_crc = require(index, "crc32", minimum=0, what="index")
         actual = zlib.crc32(payload) & 0xFFFFFFFF
-        if actual != int(expected_crc):
+        if actual != expected_crc:
             raise ContainerFormatError(
                 f"payload checksum mismatch (stored {expected_crc:#010x}, "
                 f"computed {actual:#010x}): the container is corrupted"
             )
-    return header, index, payload
+    offsets = require(index, "offsets", list, what="index")
+    expected = -(-snapshots // header.buffer_size) * header.axes
+    if len(offsets) != expected:
+        raise ContainerFormatError(
+            f"index holds {len(offsets)} payload offsets; {snapshots} "
+            f"snapshots in buffers of {header.buffer_size} over "
+            f"{header.axes} axes need {expected}"
+        )
+    if not all(
+        type(o) is int and lo <= o <= total
+        for lo, o in zip([0] + offsets, offsets)
+    ):
+        raise ContainerFormatError(
+            f"index offsets are not ascending within the {total}-byte "
+            "payload"
+        )
+    return _Container(header, snapshots, offsets, payload)
 
 
-def _config_from_header(header: dict) -> MDZConfig:
-    extra = {}
-    if "members" in header:
-        extra["adp_members"] = tuple(header["members"])
-    return MDZConfig(
-        error_bound=1.0e-3,  # per-axis absolute bounds travel separately
-        buffer_size=int(header["buffer_size"]),
-        quantization_scale=int(header["scale"]),
-        sequence_mode=str(header["sequence"]),
-        method=str(header["method"]),
-        lossless_backend=str(header["lossless"]),
-        **extra,
-    )
+def _open(blob: bytes) -> ContainerReader:
+    """A reader over either generation, dispatched on the magic."""
+    if container_version(blob) == 2:
+        from ..stream.reader import StreamingReader
 
-
-def _blob_at(payload: bytes, offsets: list[int], i: int) -> bytes:
-    start = offsets[i]
-    end = offsets[i + 1] if i + 1 < len(offsets) else len(payload)
-    return payload[start:end]
+        return StreamingReader(blob)
+    return _open_container(blob)
 
 
 def read_container(blob: bytes) -> np.ndarray:
     """Decompress a full container (``MDZ1`` or ``MDZ2``) to float64."""
-    if container_version(blob) == 2:
-        from ..stream.reader import StreamingReader
-
-        return StreamingReader(blob).read_all()
-    header, index, payload = _open_container(blob)
-    t_count = int(header["snapshots"])
-    n_atoms = int(header["atoms"])
-    n_axes = int(header["axes"])
-    bs = int(header["buffer_size"])
-    config = _config_from_header(header)
-    bounds = [float(b) for b in header["error_bounds"]]
-    sessions = _sessions(config, bounds, n_atoms)
-    offsets = [int(o) for o in index["offsets"]]
-    out = np.empty((t_count, n_atoms, n_axes), dtype=np.float64)
-    blob_i = 0
-    for t0 in range(0, t_count, bs):
-        for a in range(n_axes):
-            piece = _blob_at(payload, offsets, blob_i)
-            out[t0 : t0 + bs, :, a] = sessions[a].decompress_batch(piece)
-            blob_i += 1
-    return out
-
-
-@dataclass(frozen=True)
-class ContainerInfo:
-    """Structural summary of a container (no payload decoding).
-
-    ``methods_per_axis`` maps, per axis, the method name to the number of
-    buffers coded with it — which is how ADP's per-axis choices (Table VI)
-    can be inspected post hoc.
-    """
-
-    snapshots: int
-    atoms: int
-    axes: int
-    buffer_size: int
-    error_bounds: tuple[float, ...]
-    method: str
-    sequence: str
-    n_buffers: int
-    payload_bytes: int
-    methods_per_axis: tuple[dict[str, int], ...]
-    #: The recorded ADP candidate pool; ``None`` for fixed-method
-    #: archives and legacy default-pool archives (which omit the key).
-    members: tuple[str, ...] | None = None
+    return _open(blob).read_all()
 
 
 def read_container_info(blob: bytes) -> ContainerInfo:
     """Inspect a container: header fields plus the per-buffer method tags."""
-    from ..core.methods import METHOD_NAMES
-    from ..sz.lossless import lossless_decompress
-
-    if container_version(blob) == 2:
-        from ..stream.reader import StreamingReader
-
-        return StreamingReader(blob).container_info()
-    header, index, payload = _open_container(blob)
-    n_axes = int(header["axes"])
-    offsets = [int(o) for o in index["offsets"]]
-    n_buffers = len(offsets) // n_axes
-    methods: list[dict[str, int]] = [dict() for _ in range(n_axes)]
-    for i in range(len(offsets)):
-        axis = i % n_axes
-        piece = _blob_at(payload, offsets, i)
-        reader = BlobReader(lossless_decompress(piece))
-        method_id = int(reader.read_json()["m"])
-        name = METHOD_NAMES.get(method_id, f"?{method_id}")
-        methods[axis][name] = methods[axis].get(name, 0) + 1
-    return ContainerInfo(
-        snapshots=int(header["snapshots"]),
-        atoms=int(header["atoms"]),
-        axes=n_axes,
-        buffer_size=int(header["buffer_size"]),
-        error_bounds=tuple(float(b) for b in header["error_bounds"]),
-        method=str(header["method"]),
-        sequence=str(header["sequence"]),
-        n_buffers=n_buffers,
-        payload_bytes=len(payload),
-        methods_per_axis=tuple(methods),
-        members=(
-            tuple(str(m) for m in header["members"])
-            if "members" in header
-            else None
-        ),
-    )
+    return _open(blob).container_info()
 
 
 def read_container_batch(blob: bytes, batch_index: int) -> np.ndarray:
-    """Decode one buffer (all axes) from a container.
-
-    Buffer 0 is decoded first when needed to rebuild the MT/VQT session
-    reference; VQ-coded containers decode the target buffer directly.
-    """
-    if container_version(blob) == 2:
-        from ..stream.reader import StreamingReader
-
-        return StreamingReader(blob).read_buffer(batch_index)
-    header, index, payload = _open_container(blob)
-    t_count = int(header["snapshots"])
-    n_atoms = int(header["atoms"])
-    n_axes = int(header["axes"])
-    bs = int(header["buffer_size"])
-    n_batches = (t_count + bs - 1) // bs
-    if not 0 <= batch_index < n_batches:
-        raise ContainerFormatError(
-            f"batch {batch_index} out of range (container has {n_batches})"
-        )
-    config = _config_from_header(header)
-    bounds = [float(b) for b in header["error_bounds"]]
-    sessions = _sessions(config, bounds, n_atoms)
-    offsets = [int(o) for o in index["offsets"]]
-    rows = min(bs, t_count - batch_index * bs)
-    out = np.empty((rows, n_atoms, n_axes), dtype=np.float64)
-    for a in range(n_axes):
-        if batch_index > 0:
-            # Prime the session reference from buffer 0 of this axis.
-            head = _blob_at(payload, offsets, a)
-            sessions[a].decompress_batch(head)
-        piece = _blob_at(payload, offsets, batch_index * n_axes + a)
-        out[:, :, a] = sessions[a].decompress_batch(piece)
-    return out
+    """Decode one buffer (all axes) from a container; buffer 0 first
+    only when :attr:`~repro.core.codec.CodecHeader.needs_head`."""
+    return _open(blob).read_buffer(batch_index)
 
 
 def verify_container(blob: bytes) -> dict:
@@ -354,7 +241,10 @@ def verify_container(blob: bytes) -> dict:
     :func:`repro.stream.format.verify_stream` (per-chunk CRCs, rolling
     checksum chain, footer/index agreement); ``MDZ1`` blobs are checked
     for frame structure, index/payload agreement, and the whole-payload
-    CRC32.
+    CRC32.  Both generations validate the codec header
+    (:meth:`CodecHeader.from_json`) and check the first payload's shape
+    record against it (:func:`~repro.core.codec.payload_tag`); no values
+    are decoded.
 
     Returns a JSON-serialisable report.  Common keys:
 
@@ -380,33 +270,14 @@ def verify_container(blob: bytes) -> dict:
         "errors": [],
     }
     try:
-        header, index, payload = _open_container(blob)
-    except ContainerFormatError as exc:
+        container = _open_container(blob)
+        report["header"] = True
+        report["snapshots"] = container.snapshots
+        report["chunks"] = len(container.offsets)
+        _, rows, first = next(container._pieces())
+        payload_tag(first, rows, container.header.atoms)
+    except DecompressionError as exc:
         report["errors"].append(str(exc))
-        return report
-    report["header"] = True
-    try:
-        report["snapshots"] = int(header["snapshots"])
-        offsets = [int(o) for o in index["offsets"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        report["errors"].append(f"malformed header/index: {exc}")
-        return report
-    report["chunks"] = len(offsets)
-    previous = 0
-    for i, off in enumerate(offsets):
-        if off < previous or off > len(payload):
-            report["errors"].append(
-                f"index offset {i} out of order or beyond payload "
-                f"({off} / {len(payload)})"
-            )
-            return report
-        previous = off
-    n_axes = int(header.get("axes", 0) or 0)
-    if n_axes and len(offsets) % n_axes != 0:
-        report["errors"].append(
-            f"index holds {len(offsets)} blobs, not a multiple of "
-            f"{n_axes} axes"
-        )
         return report
     report["intact"] = True
     return report

@@ -45,10 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..baselines.api import SessionMeta
 from ..cluster.level_detect import LevelFit
+from ..core.codec import open_session
 from ..core.config import MDZConfig
-from ..core.mdz import MDZAxisCompressor
 from ..telemetry import get_recorder
 from ..telemetry.logging import get_logger
 
@@ -119,10 +118,10 @@ def _encode(spec: AxisJobSpec, batch: np.ndarray) -> bytes:
     """The bare encode: a fixed-method session seeded with the frozen
     state, reusing the exact serial encode path — which is what makes
     parallel output byte-identical to serial."""
-    session = MDZAxisCompressor(spec.config)
-    session.begin(spec.error_bound, SessionMeta(n_atoms=spec.n_atoms))
-    session.seed_session(spec.reference, spec.level_fit)
-    return session.compress_batch(batch)
+    return open_session(
+        spec.config, spec.error_bound, spec.n_atoms, spec.reference,
+        spec.level_fit,
+    ).compress_batch(batch)
 
 
 def encode_axis_buffer(spec: AxisJobSpec, batch: np.ndarray):
@@ -441,10 +440,6 @@ class ParallelExecutor:
                 # Retries exhausted or the pool is gone.  The abandon
                 # sweep resolves this entry along with the rest.
                 self._abandon_pool()
-                if entry[0] == _JOB:  # pragma: no cover - defensive
-                    entry[1] = self._call_with_retry(entry[2], entry[3])
-                    entry[0] = _DONE
-                    entry[2] = entry[3] = None
                 return
             entry[0] = _DONE
             entry[1] = value

@@ -49,7 +49,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import BinaryIO
 
-from ..exceptions import ContainerFormatError
+from ..core.codec import CodecHeader, payload_tag
+from ..exceptions import ContainerFormatError, DecompressionError
 
 #: File magic of the streaming container.
 STREAM_MAGIC = b"MDZ2"
@@ -475,6 +476,9 @@ def verify_stream(blob: bytes) -> dict:
     every chunk payload CRC, and — when the index carries the rolling
     column — the chained rolling checksum (which additionally proves the
     chunks are the ones the index committed, in the committed order).
+    Then the codec header must pass :meth:`CodecHeader.from_json` and the
+    first chunk's shape record must match it
+    (:func:`~repro.core.codec.payload_tag`); no values are decoded.
 
     Returns a JSON-serializable report::
 
@@ -542,18 +546,24 @@ def verify_stream(blob: bytes) -> dict:
                 )
                 break  # every later link mismatches by construction
         report["rolling"] = "ok" if ok else "mismatch"
+    try:
+        header = CodecHeader.from_json(layout.header)
+        if layout.chunks:
+            first = layout.chunks[0]
+            payload_tag(chunk_payload(blob, first), first.rows, header.atoms)
+    except DecompressionError as exc:
+        report["errors"].append(str(exc))
+        return report
     present: dict[int, set[int]] = {}
     for entry in layout.chunks:
         present.setdefault(entry.buffer_index, set()).add(entry.axis)
-    n_axes = int(layout.header.get("axes", 0) or 0)
-    if n_axes:
-        for b in sorted(present):
-            missing = sorted(set(range(n_axes)) - present[b])
-            if missing:
-                report["warnings"].append(
-                    f"buffer {b} is incomplete (axes {missing} missing): "
-                    "its snapshots are not decodable"
-                )
+    for b in sorted(present):
+        missing = sorted(set(range(header.axes)) - present[b])
+        if missing:
+            report["warnings"].append(
+                f"buffer {b} is incomplete (axes {missing} missing): "
+                "its snapshots are not decodable"
+            )
     report["intact"] = (
         layout.complete
         and not layout.quarantined

@@ -4,9 +4,9 @@ Supports three access patterns:
 
 * :meth:`StreamingReader.read_all` — sequential full decode, sessions
   carried across buffers exactly like the writer's;
-* :meth:`StreamingReader.read_buffer` — random access to one buffer; VQ
-  streams decode it directly, other methods first decode buffer 0 to
-  restore the session reference (same contract as ``MDZ1`` batch reads);
+* :meth:`StreamingReader.read_buffer` — random access to one buffer;
+  buffer 0 is decoded first only when a member reads the session
+  reference (:attr:`repro.core.codec.CodecHeader.needs_head`);
 * :meth:`StreamingReader.iter_buffers` — incremental consumption with
   bounded memory (the analysis-side half of the in-situ pipeline).
 
@@ -32,9 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..baselines.api import SessionMeta
-from ..core.config import MDZConfig
-from ..core.mdz import MDZAxisCompressor
+from ..core.codec import CodecHeader, ContainerReader
 from ..exceptions import ContainerFormatError
 from . import format as fmt
 
@@ -124,7 +122,7 @@ class SalvageReport:
         }
 
 
-class StreamingReader:
+class StreamingReader(ContainerReader):
     """Random-access and sequential decoder for one ``MDZ2`` stream.
 
     Parameters
@@ -143,9 +141,10 @@ class StreamingReader:
     Raises
     ------
     ContainerFormatError
-        For empty input, a bad magic, a damaged header, a header missing
-        required fields, or (strict mode) a missing footer.  When
-        ``source`` is a path, the message names it.
+        For empty input, a bad magic, a damaged header, a header that
+        fails :meth:`CodecHeader.from_json` validation, or (strict mode)
+        a missing footer.  When ``source`` is a path, the message names
+        it.
     OSError
         When the path cannot be read.
     """
@@ -167,6 +166,7 @@ class StreamingReader:
             self._layout = fmt.parse_stream(
                 self._blob, recover=recover or salvage, salvage=salvage
             )
+            self.header = CodecHeader.from_json(self._layout.header)
         except struct.error as exc:
             # Defensive: framing bugs must never leak struct internals.
             raise self._named(
@@ -174,26 +174,23 @@ class StreamingReader:
             ) from exc
         except ContainerFormatError as exc:
             raise self._named(exc) from exc
-        header = self._layout.header
-        try:
-            self.atoms = int(header["atoms"])
-            self.axes = int(header["axes"])
-            self.buffer_size = int(header["buffer_size"])
-            self.error_bounds = tuple(
-                float(b) for b in header["error_bounds"]
-            )
-            self.method = str(header["method"])
-            self.sequence = str(header["sequence"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise self._named(
-                ContainerFormatError(
-                    f"stream header is missing required fields: {exc}"
-                )
-            ) from exc
+        self.atoms = self.header.atoms
+        self.axes = self.header.axes
+        self.buffer_size = self.header.buffer_size
+        self.error_bounds = self.header.error_bounds
+        self.method = self.header.method
+        self.sequence = self.header.sequence
         self._chunk_map: dict[tuple[int, int], fmt.ChunkEntry] = {}
         for entry in self._layout.chunks:
             self._chunk_map[(entry.buffer_index, entry.axis)] = entry
-        self._n_complete = self._count_complete_buffers()
+        #: Number of *complete* buffers (every axis chunk present) and
+        #: the snapshots they cover.
+        self.n_buffers = 0
+        while all(
+            (self.n_buffers, a) in self._chunk_map for a in range(self.axes)
+        ):
+            self.n_buffers += 1
+        self.snapshots = sum(self._rows(b) for b in range(self.n_buffers))
 
     def _named(self, exc: ContainerFormatError) -> ContainerFormatError:
         """Prefix a format error with the source path, when one exists."""
@@ -213,48 +210,7 @@ class StreamingReader:
         """Index entries of every readable chunk, in file order."""
         return list(self._layout.chunks)
 
-    @property
-    def n_buffers(self) -> int:
-        """Number of *complete* buffers (every axis chunk present)."""
-        return self._n_complete
-
-    @property
-    def snapshots(self) -> int:
-        """Snapshots covered by the complete buffers."""
-        return sum(
-            self._chunk_map[(b, 0)].rows for b in range(self._n_complete)
-        )
-
-    def _count_complete_buffers(self) -> int:
-        count = 0
-        while all(
-            (count, a) in self._chunk_map for a in range(self.axes)
-        ):
-            count += 1
-        return count
-
     # -- decoding -------------------------------------------------------
-
-    def _sessions(self) -> list[MDZAxisCompressor]:
-        extra = {}
-        if "members" in self._layout.header:
-            extra["adp_members"] = tuple(self._layout.header["members"])
-        config = MDZConfig(
-            error_bound=1.0,  # absolute per-axis bounds travel in begin()
-            error_bound_mode="absolute",
-            buffer_size=self.buffer_size,
-            quantization_scale=int(self._layout.header["scale"]),
-            sequence_mode=self.sequence,
-            method=self.method,
-            lossless_backend=str(self._layout.header["lossless"]),
-            **extra,
-        )
-        sessions = []
-        for bound in self.error_bounds:
-            session = MDZAxisCompressor(config)
-            session.begin(bound, SessionMeta(n_atoms=self.atoms))
-            sessions.append(session)
-        return sessions
 
     def _payload(self, buffer_index: int, axis: int) -> bytes:
         entry = self._chunk_map.get((buffer_index, axis))
@@ -265,64 +221,33 @@ class StreamingReader:
             )
         return fmt.chunk_payload(self._blob, entry)
 
-    def _decode_buffer(self, buffer_index: int) -> np.ndarray:
-        """Decode one buffer whose chunks are all present (no range check).
+    def _rows(self, buffer_index: int) -> int:
+        return self._chunk_map[(buffer_index, 0)].rows
 
-        VQ streams decode the target buffer directly; for the stateful
-        methods buffer 0 is decoded first to restore the reference.
-        """
-        sessions = self._sessions()
-        rows = self._chunk_map[(buffer_index, 0)].rows
-        out = np.empty((rows, self.atoms, self.axes), dtype=np.float64)
-        for a in range(self.axes):
-            if buffer_index > 0 and self.method != "vq":
-                sessions[a].decompress_batch(self._payload(0, a))
-            out[:, :, a] = sessions[a].decompress_batch(
-                self._payload(buffer_index, a)
-            )
-        return out
+    def _pieces(self):
+        for entry in self._layout.chunks:
+            yield entry.axis, entry.rows, fmt.chunk_payload(self._blob, entry)
 
-    def read_buffer(self, buffer_index: int) -> np.ndarray:
-        """Decode one complete buffer to a ``(rows, atoms, axes)`` array.
-
-        Raises :class:`ContainerFormatError` when ``buffer_index`` is
-        outside the stream's complete-buffer prefix.
-        """
-        if not 0 <= buffer_index < self._n_complete:
-            raise ContainerFormatError(
-                f"buffer {buffer_index} out of range (stream has "
-                f"{self._n_complete} complete buffers)"
-            )
-        return self._decode_buffer(buffer_index)
+    # Named in this class's own namespace: per-class instrumentation
+    # (mdzbench/tracer.py) wraps ``StreamingReader.read_buffer`` there.
+    read_buffer = ContainerReader.read_buffer
 
     def iter_buffers(self) -> Iterator[np.ndarray]:
         """Yield every complete buffer in order, with persistent sessions."""
-        sessions = self._sessions()
-        for b in range(self._n_complete):
-            rows = self._chunk_map[(b, 0)].rows
-            out = np.empty((rows, self.atoms, self.axes), dtype=np.float64)
-            for a in range(self.axes):
-                out[:, :, a] = sessions[a].decompress_batch(
-                    self._payload(b, a)
-                )
-            yield out
+        sessions = self.header.sessions()
+        for b in range(self.n_buffers):
+            yield self._decode([b], sessions)
 
     def read_all(self) -> np.ndarray:
-        """Decode every readable buffer into one ``(T, N, axes)`` array.
-
-        In normal/recover mode this is the complete-buffer prefix.  In
-        salvage mode every *decodable* buffer is included — also ones
-        after a damaged region — so the result's time axis may skip lost
-        snapshots; :meth:`salvage_report` maps rows back to global
-        snapshot indices.
-        """
-        if self._salvage:
-            parts = [array for _, _, array in self.iter_salvaged()]
-        else:
-            parts = list(self.iter_buffers())
-        if not parts:
-            return np.empty((0, self.atoms, self.axes), dtype=np.float64)
-        return np.concatenate(parts, axis=0)
+        """Decode every readable buffer into one ``(T, N, axes)`` array:
+        the complete-buffer prefix, or in salvage mode every *decodable*
+        buffer, each read alone, so the time axis may skip lost
+        snapshots (:meth:`salvage_report` maps rows back)."""
+        if not self._salvage:
+            return super().read_all()
+        return self._decode(
+            [s.index for s in self._buffer_statuses() if s.decodable]
+        )
 
     # -- salvage --------------------------------------------------------
 
@@ -353,7 +278,7 @@ class StreamingReader:
             axes_present = tuple(sorted(present.get(b, ())))
             complete = len(axes_present) == self.axes
             decodable = complete and (
-                b == 0 or self.method == "vq" or buffer0_complete
+                b == 0 or not self.header.needs_head or buffer0_complete
             )
             statuses.append(
                 BufferStatus(
@@ -418,42 +343,5 @@ class StreamingReader:
                 yield (
                     status.index,
                     status.snapshot_range[0],
-                    self._decode_buffer(status.index),
+                    self._decode([status.index]),
                 )
-
-    # -- inspection -----------------------------------------------------
-
-    def container_info(self):
-        """Structural summary in the shared ``ContainerInfo`` shape."""
-        from ..core.methods import METHOD_NAMES
-        from ..io.container import ContainerInfo
-        from ..serde import BlobReader
-        from ..sz.lossless import lossless_decompress
-
-        methods: list[dict[str, int]] = [dict() for _ in range(self.axes)]
-        payload_bytes = 0
-        for entry in self._layout.chunks:
-            payload_bytes += entry.length
-            blob = fmt.chunk_payload(self._blob, entry)
-            reader = BlobReader(lossless_decompress(blob))
-            method_id = int(reader.read_json()["m"])
-            name = METHOD_NAMES.get(method_id, f"?{method_id}")
-            per_axis = methods[entry.axis]
-            per_axis[name] = per_axis.get(name, 0) + 1
-        return ContainerInfo(
-            snapshots=self.snapshots,
-            atoms=self.atoms,
-            axes=self.axes,
-            buffer_size=self.buffer_size,
-            error_bounds=self.error_bounds,
-            method=self.method,
-            sequence=self.sequence,
-            n_buffers=self._n_complete,
-            payload_bytes=payload_bytes,
-            methods_per_axis=tuple(methods),
-            members=(
-                tuple(str(m) for m in self._layout.header["members"])
-                if "members" in self._layout.header
-                else None
-            ),
-        )

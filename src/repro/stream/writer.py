@@ -46,10 +46,9 @@ from typing import BinaryIO, Iterable
 
 import numpy as np
 
-from ..baselines.api import SessionMeta
+from ..core.codec import CodecHeader
 from ..core.config import MDZConfig
 from ..core.mdz import MDZAxisCompressor
-from ..core.registry import DEFAULT_MEMBERS
 from ..exceptions import CompressionError
 from ..telemetry import QualityAuditor, get_recorder
 from . import format as fmt
@@ -184,7 +183,6 @@ class StreamingWriter:
         self._pending: deque[_PendingChunk] = deque()
         self._chunks: list[fmt.ChunkEntry] = []
         self._sessions: list[MDZAxisCompressor] | None = None
-        self._bounds: list[float] = []
         self._shape: tuple[int, int] | None = None  # (atoms, axes)
         self._buffer_index = 0
         self._offset = 0  # also the commit fence: end of last good frame
@@ -331,37 +329,10 @@ class StreamingWriter:
 
     def _start(self, batch: np.ndarray) -> None:
         """First flush: resolve bounds, open sessions, write the header."""
-        n_atoms, n_axes = self._shape
-        self._bounds = []
-        self._sessions = []
-        for a in range(n_axes):
-            axis = batch[:, :, a]
-            bound = self.config.absolute_bound(
-                float(axis.max() - axis.min())
-            )
-            session = MDZAxisCompressor(self.config)
-            session.begin(bound, SessionMeta(n_atoms=n_atoms))
-            self._bounds.append(bound)
-            self._sessions.append(session)
-        header = {
-            "atoms": n_atoms,
-            "axes": n_axes,
-            "buffer_size": self.config.buffer_size,
-            "error_bounds": self._bounds,
-            "scale": self.config.quantization_scale,
-            "sequence": self.config.sequence_mode,
-            "method": self.config.method,
-            "lossless": self.config.lossless_backend,
-        }
-        # Same rule as io/container.py: only a non-default ADP pool is
-        # recorded, so default streams stay byte-identical to the seed.
-        if (
-            self.config.method == "adp"
-            and self.config.adp_members != DEFAULT_MEMBERS
-        ):
-            header["members"] = list(self.config.adp_members)
+        header = CodecHeader.from_config(self.config, batch)
+        self._sessions = header.sessions(self.config)
         self._offset += fmt.write_magic(self._fh)
-        self._offset += fmt.write_header(self._fh, header)
+        self._offset += fmt.write_header(self._fh, header.to_json())
 
     def _flush(self) -> None:
         recorder = get_recorder()

@@ -52,3 +52,58 @@ def trajectory(rng) -> np.ndarray:
 def absolute_bound(stream: np.ndarray, epsilon: float = 1e-3) -> float:
     """Value-range-relative bound -> absolute, as the harness does."""
     return float(epsilon) * float(stream.max() - stream.min())
+
+
+def _rewrite_header(blob: bytes, edit) -> bytes:
+    """Re-frame a container of either generation with an edited header.
+
+    ``edit(header_dict)`` mutates the stored header in place.  ``MDZ2``
+    streams are rewritten frame by frame (fresh offsets, header CRC,
+    rolling checksums and footer), so only the header content is wrong.
+    """
+    import io
+
+    from repro.serde import BlobReader, BlobWriter
+    from repro.stream import format as fmt
+
+    if fmt.is_stream_container(blob):
+        layout = fmt.parse_stream(blob)
+        header = dict(layout.header)
+        edit(header)
+        out = io.BytesIO()
+        offset = fmt.write_magic(out)
+        offset += fmt.write_header(out, header)
+        entries, rolling = [], 0
+        for entry in layout.chunks:
+            new, written = fmt.write_chunk(
+                out,
+                entry.buffer_index,
+                entry.axis,
+                entry.rows,
+                fmt.chunk_payload(blob, entry),
+                offset,
+                rolling,
+            )
+            entries.append(new)
+            rolling = new.rolling
+            offset += written
+        fmt.write_footer(out, entries, layout.snapshots, offset)
+        return out.getvalue()
+    reader = BlobReader(blob)
+    magic = reader.read_bytes()
+    header = reader.read_json()
+    index = reader.read_json()
+    payload = reader.read_bytes()
+    edit(header)
+    writer = BlobWriter()
+    writer.write_bytes(magic)
+    writer.write_json(header)
+    writer.write_json(index)
+    writer.write_bytes(payload)
+    return writer.getvalue()
+
+
+@pytest.fixture
+def rewrite_header():
+    """``rewrite_header(blob, edit)``: a container with an edited header."""
+    return _rewrite_header

@@ -1,5 +1,9 @@
 """Tests for the ``mdz`` command-line interface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,6 +123,29 @@ class TestCompressDecompress:
             ["compress", str(tmp_path / "nope.npy"), str(tmp_path / "o.mdz")]
         )
         assert code == 1
+
+    def test_crafted_header_fails_cleanly(
+        self, tmp_path, npy_trajectory, rewrite_header
+    ):
+        """A header with a valid frame but a missing field is reported as
+        a malformed container, not a crash."""
+        path, _ = npy_trajectory
+        container = tmp_path / "traj.mdz"
+        assert main(["compress", str(path), str(container)]) == 0
+        container.write_bytes(
+            rewrite_header(container.read_bytes(), lambda h: h.pop("scale"))
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "decompress",
+             str(container), str(tmp_path / "out.npy")],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 1
+        assert "error: [container_malformed]" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestStream:

@@ -11,6 +11,7 @@ from repro.io.container import (
     read_container_batch,
     write_container,
 )
+from repro.telemetry import MetricsRecorder, recording
 
 
 class TestContainerRoundTrip:
@@ -57,7 +58,10 @@ class TestRandomAccess:
     def test_vq_batches_without_head_decode(self, trajectory):
         config = MDZConfig(buffer_size=4, method="vq")
         blob = write_container(trajectory, config)
-        piece = read_container_batch(blob, 2)
+        with recording(MetricsRecorder()) as rec:
+            piece = read_container_batch(blob, 2)
+        decodes = rec.snapshot()["timers"]["mdz.decompress_batch"]["count"]
+        assert decodes == trajectory.shape[2]  # buffer 2 only, no head
         full = read_container(blob)
         assert np.array_equal(piece, full[8:12])
 

@@ -112,9 +112,19 @@ class TestSessions:
         assert MDZAxisCompressor(MDZConfig(method="adp")).name == "mdz"
         assert MDZAxisCompressor(MDZConfig(method="vq")).name == "mdz-vq"
 
-    def test_vq_supports_random_access(self):
-        assert MDZAxisCompressor(MDZConfig(method="vq")).supports_random_access
-        assert not MDZAxisCompressor(MDZConfig(method="mt")).supports_random_access
+    def test_supports_random_access(self):
+        """Random access unless a member reads the session reference."""
+        for config, expected in [
+            (MDZConfig(method="vq"), True),
+            (MDZConfig(method="vqt"), True),
+            (MDZConfig(method="interp"), True),
+            (MDZConfig(method="mt"), False),
+            (MDZConfig(method="bitadaptive"), False),
+            (MDZConfig(method="adp"), False),  # the default pool holds mt
+            (MDZConfig(method="adp", adp_members=("vq", "vqt")), True),
+        ]:
+            compressor = MDZAxisCompressor(config)
+            assert compressor.supports_random_access is expected, config
 
 
 class TestSequenceAblation:

@@ -617,6 +617,21 @@ class TestStructuredErrors:
         assert resp.status == 400
         assert resp.json()["error"]["code"] == "container_malformed"
 
+    def test_crafted_header_maps_to_container_code(self, rewrite_header):
+        """A checksum-valid header missing a field is the client's fault:
+        400 ``container_malformed``, not 500 ``internal_error``."""
+        from repro import MDZ
+
+        blob = rewrite_header(
+            MDZ(MDZConfig(buffer_size=4)).compress(_trajectory(3)),
+            lambda h: h.pop("scale"),
+        )
+        resp = self._one(
+            lambda c: c.request("POST", "/v1/decompress", {}, blob)
+        )
+        assert resp.status == 400
+        assert resp.json()["error"]["code"] == "container_malformed"
+
     def test_unknown_routes_and_methods(self):
         async def main():
             async with running_service() as svc:

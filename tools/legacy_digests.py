@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""Pin legacy-member archive bytes against the pre-registry seed.
+"""Pin legacy-member archive bytes of both container generations.
 
-The stage-registry refactor (core/registry.py) must not change a single
-byte of any archive produced by the legacy members (VQ / VQT / MT and the
-default ADP pool).  This tool compresses one deterministic synthetic
-trajectory under the 12 canonical container configurations — every legacy
-method crossed with three framing variants — and records the BLAKE2b
-digest of each archive::
+Refactors must not change a single byte of any archive produced by the
+legacy members (VQ / VQT / MT and the default ADP pool).  This tool
+compresses one deterministic synthetic trajectory under the 12 canonical
+configurations — every legacy method crossed with three framing
+variants — once as an ``MDZ1`` container (``write_container``) and once
+as a serial ``MDZ2`` stream (``stream_compress``), and records the
+BLAKE2b digest of each of the 24 archives::
 
     python tools/legacy_digests.py --write    # rewrite tests/data/legacy_digests.json
     python tools/legacy_digests.py --check    # exit 1 on any byte drift (CI)
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -60,8 +62,21 @@ def pinned_trajectory() -> np.ndarray:
     return levels[None, :, :] + vibration + drift
 
 
+def _stream_bytes(trajectory: np.ndarray, config) -> bytes:
+    """A serial ``MDZ2`` stream of ``trajectory``, in memory."""
+    from repro.stream.pipeline import stream_compress
+
+    sink = io.BytesIO()
+    stream_compress(trajectory, sink, config=config)
+    return sink.getvalue()
+
+
 def compute() -> dict:
-    """``{config key: blake2b hexdigest}`` over the 12 configurations."""
+    """``{config key: blake2b hexdigest}`` over the 12 configurations.
+
+    ``MDZ1`` keys are ``method/variant``; ``MDZ2`` keys carry an
+    ``mdz2/`` prefix.
+    """
     from repro.core.config import MDZConfig
     from repro.io.container import write_container
 
@@ -75,9 +90,14 @@ def compute() -> dict:
                 method=method,
                 **fields,
             )
-            blob = write_container(trajectory, config)
             key = f"{method}/{variant}"
-            digests[key] = hashlib.blake2b(blob, digest_size=16).hexdigest()
+            for prefix, blob in (
+                ("", write_container(trajectory, config)),
+                ("mdz2/", _stream_bytes(trajectory, config)),
+            ):
+                digests[prefix + key] = hashlib.blake2b(
+                    blob, digest_size=16
+                ).hexdigest()
     return digests
 
 
@@ -89,7 +109,8 @@ def render(digests: dict) -> str:
     return json.dumps(
         {
             "comment": (
-                "BLAKE2b-128 of write_container() output on the pinned "
+                "BLAKE2b-128 of write_container() (MDZ1) and serial "
+                "stream_compress() (mdz2/ keys) output on the pinned "
                 "trajectory (tools/legacy_digests.py); regenerate only "
                 "when an intentional format change lands"
             ),
